@@ -1783,10 +1783,6 @@ Engine::run()
         result_.stats.set("disambig.probes_eliminated",
                           disambigProbesEliminated_);
     }
-    if (disambigCheckedPairs_)
-        result_.stats.set("disambig.checked_pairs", disambigCheckedPairs_);
-    if (result_.disambigViolations)
-        result_.stats.set("disambig.violations", result_.disambigViolations);
     if (issueCycles_) {
         result_.stats.setReal(
             "issue_slot_utilization",
