@@ -26,10 +26,10 @@ main()
             const MachineConfig config{Discipline::Dyn256, issueModel(im),
                                        memoryConfig(mc),
                                        BranchMode::Enlarged};
-            ExperimentRunner dyn(envScale());
+            ExperimentRunner dyn(envScale(), RunOptions::fromEnv());
             const double fast = dyn.meanNodesPerCycle(config);
 
-            ExperimentRunner cons(envScale());
+            ExperimentRunner cons(envScale(), RunOptions::fromEnv());
             ExperimentRunner::EngineTweaks tweaks;
             tweaks.conservativeLoads = true;
             cons.setEngineTweaks(tweaks);

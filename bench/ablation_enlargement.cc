@@ -32,7 +32,7 @@ main()
             EnlargeOptions opts;
             opts.maxChainLen = chain;
             opts.minArcRatio = ratio;
-            ExperimentRunner runner(envScale(), opts);
+            ExperimentRunner runner(envScale(), RunOptions::fromEnv(), opts);
 
             double npc = 0.0;
             double red = 0.0;

@@ -46,7 +46,7 @@ main()
             topts.optimizeEnlarged = !setting.disableAll;
             topts.optimizer = setting.opts;
 
-            ExperimentRunner runner(envScale());
+            ExperimentRunner runner(envScale(), RunOptions::fromEnv());
             runner.setTranslateOptions(topts);
             const double npc = runner.meanNodesPerCycle(config);
             if (baseline == 0.0)

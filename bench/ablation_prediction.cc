@@ -48,7 +48,7 @@ main()
         Table table({"prediction", "nodes/cycle", "redundancy",
                      "mispredicts/1k", "faults/1k"});
         for (const Setting &setting : settings) {
-            ExperimentRunner runner(envScale());
+            ExperimentRunner runner(envScale(), RunOptions::fromEnv());
             runner.setEngineTweaks(setting.tweaks);
             double npc = 0.0;
             double red = 0.0;

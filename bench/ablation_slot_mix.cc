@@ -20,7 +20,7 @@ main()
            "16-slot words, dyn4 / memory A / enlarged");
 
     Table table({"shape", "alu:mem", "nodes/cycle (mean)"});
-    ExperimentRunner runner(envScale());
+    ExperimentRunner runner(envScale(), RunOptions::fromEnv());
     for (int mem : {1, 2, 4, 6, 8}) {
         const IssueModel shape = customIssue(mem, 16 - mem);
         const MachineConfig config{Discipline::Dyn4, shape,

@@ -29,7 +29,7 @@ main()
     for (BranchMode bm : {BranchMode::Single, BranchMode::Enlarged}) {
         std::vector<double> row;
         for (int w : windows) {
-            ExperimentRunner runner(envScale());
+            ExperimentRunner runner(envScale(), RunOptions::fromEnv());
             ExperimentRunner::EngineTweaks tweaks;
             tweaks.windowOverride = w;
             runner.setEngineTweaks(tweaks);

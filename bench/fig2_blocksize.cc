@@ -20,7 +20,7 @@ main()
     banner("Figure 2",
            "dynamic basic block size distribution, single vs. enlarged");
 
-    ExperimentRunner runner(envScale());
+    ExperimentRunner runner(envScale(), RunOptions::fromEnv());
     const MachineConfig base{Discipline::Dyn4, issueModel(8),
                              memoryConfig('A'), BranchMode::Single};
 

@@ -16,7 +16,7 @@ main()
     detail::setQuiet(true);
     banner("Figure 3", "nodes/cycle vs. issue model, memory config A");
 
-    ExperimentRunner runner(envScale());
+    ExperimentRunner runner(envScale(), RunOptions::fromEnv());
     RunRecorder recorder("fig3", &runner);
     const MemoryConfig mem = memoryConfig('A');
 

@@ -16,7 +16,7 @@ main()
     detail::setQuiet(true);
     banner("Figure 4", "nodes/cycle vs. memory configuration, issue model 8");
 
-    ExperimentRunner runner(envScale());
+    ExperimentRunner runner(envScale(), RunOptions::fromEnv());
     RunRecorder recorder("fig4", &runner);
     const IssueModel issue = issueModel(8);
     const std::string order = "ADEBFGC";

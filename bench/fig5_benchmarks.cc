@@ -25,7 +25,7 @@ main()
         "1A", "2A", "3A", "3B", "4B", "5B", "5D",
         "5E", "6E", "6F", "7F", "7G", "8G", "8E"};
 
-    ExperimentRunner runner(envScale());
+    ExperimentRunner runner(envScale(), RunOptions::fromEnv());
     RunRecorder recorder("fig5", &runner);
 
     std::vector<std::string> header = {"benchmark"};

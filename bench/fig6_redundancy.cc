@@ -19,7 +19,7 @@ main()
            "operation redundancy (executed-not-retired fraction) vs. "
            "issue model, memory config A");
 
-    ExperimentRunner runner(envScale());
+    ExperimentRunner runner(envScale(), RunOptions::fromEnv());
     RunRecorder recorder("fig6", &runner);
     const MemoryConfig mem = memoryConfig('A');
 

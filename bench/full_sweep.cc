@@ -21,7 +21,7 @@ main()
            full ? "all 560 configurations x 5 benchmarks (CSV)"
                 : "reduced slice (set FGP_FULL=1 for all 2800 points)");
 
-    ExperimentRunner runner(envScale());
+    ExperimentRunner runner(envScale(), RunOptions::fromEnv());
     RunRecorder recorder("full_sweep", &runner);
 
     // Opt-in interval profiling: FGP_PROFILE_WINDOW=N attaches the

@@ -60,7 +60,7 @@ main()
     Table table(std::move(header));
 
     for (const Rung &rung : ladder) {
-        ExperimentRunner runner(envScale());
+        ExperimentRunner runner(envScale(), RunOptions::fromEnv());
         if (rung.window) {
             ExperimentRunner::EngineTweaks tweaks;
             tweaks.windowOverride = rung.window;

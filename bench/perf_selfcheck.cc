@@ -144,7 +144,7 @@ runSelfcheck(int argc, char **argv)
     // manifest registry); sampling never changes a schedule.
     setAllocHook(&allocNow);
 
-    ExperimentRunner runner(scale);
+    ExperimentRunner runner(scale, RunOptions::fromEnv());
 
     std::vector<SweepPoint> points;
     for (const std::string &workload : workloadNames())

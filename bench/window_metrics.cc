@@ -24,7 +24,7 @@ main()
     Table table({"discipline", "blocks", "valid ops", "active ops",
                  "ready ops", "nodes/cycle"});
 
-    ExperimentRunner runner(envScale());
+    ExperimentRunner runner(envScale(), RunOptions::fromEnv());
     for (Discipline d : allDisciplines()) {
         const MachineConfig config{d, issueModel(8), memoryConfig('A'),
                                    BranchMode::Enlarged};

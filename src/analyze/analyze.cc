@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 
 #include "arch/config.hh"
 #include "base/logging.hh"
@@ -216,25 +215,6 @@ staticIpcBound(const CodeImage &image)
                                     static_cast<double>(block.words.size()));
     }
     return bound;
-}
-
-bool
-xcheckEnabled()
-{
-    static const bool enabled = [] {
-        if (const char *env = std::getenv("FGP_ANALYZE_XCHECK")) {
-            if (env[0] == '1')
-                return true;
-            if (env[0] == '0')
-                return false;
-        }
-#ifdef NDEBUG
-        return false;
-#else
-        return true;
-#endif
-    }();
-    return enabled;
 }
 
 std::vector<ChainAudit>

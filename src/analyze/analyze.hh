@@ -19,7 +19,7 @@
  *    nodes/words over all blocks is a sound upper bound on the retired
  *    nodes-per-cycle of ANY run of that image — the machine-checked
  *    `static bound >= dynamic IPC` oracle (staticIpcBound, cross-checked
- *    by the harness under FGP_ANALYZE_XCHECK).
+ *    by the harness after every simulation).
  *
  * The analyzer never mutates the image, so analyzing can never change a
  * simulated schedule.
@@ -149,14 +149,6 @@ std::vector<ResidualWar> residualWars(const ImageBlock &block);
  * Returns 0 for images without words.
  */
 double staticIpcBound(const CodeImage &image);
-
-/**
- * Whether the harness cross-checks `staticIpcBound >= measured IPC`
- * after every simulation. Default: on in debug builds (!NDEBUG), off in
- * release; the FGP_ANALYZE_XCHECK environment variable ("1"/"0")
- * overrides either way.
- */
-bool xcheckEnabled();
 
 /**
  * Audit of one planned enlargement chain: predicted dependence-height

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 
 #include "base/logging.hh"
 #include "verify/diag.hh"
@@ -291,35 +290,6 @@ disambigImage(const CodeImage &image)
         out.blocks.push_back(std::move(b));
     }
     return out;
-}
-
-bool
-staticDisambigEnabled()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("FGP_STATIC_DISAMBIG");
-        return env != nullptr && env[0] == '1';
-    }();
-    return enabled;
-}
-
-bool
-disambigXcheckEnabled()
-{
-    static const bool enabled = [] {
-        if (const char *env = std::getenv("FGP_DISAMBIG_XCHECK")) {
-            if (env[0] == '1')
-                return true;
-            if (env[0] == '0')
-                return false;
-        }
-#ifdef NDEBUG
-        return false;
-#else
-        return true;
-#endif
-    }();
-    return enabled;
 }
 
 std::function<MemDepFacts(const ImageBlock &)>

@@ -24,13 +24,13 @@
  * Consumers:
  *  - the tld static scheduler (TranslateOptions::disambigHook) drops
  *    ordering edges for proven no-alias pairs, hoisting loads above
- *    independent stores — behind FGP_STATIC_DISAMBIG, default off;
+ *    independent stores — behind RunOptions::staticDisambig, default off;
  *  - the engine skips store-queue probes for loads proven independent of
  *    every store in their block (disambig.* stats);
- *  - a debug-build dynamic cross-check (FGP_DISAMBIG_XCHECK) asserts at
- *    block retirement that no statically-proven no-alias pair ever
- *    overlaps at runtime, reporting violations through the verify::diag
- *    registry (MD family).
+ *  - a dynamic cross-check (RunOptions::checks, default on in debug
+ *    builds) asserts at block retirement that no statically-proven
+ *    no-alias pair ever overlaps at runtime, reporting violations
+ *    through the verify::diag registry (MD family).
  */
 
 #ifndef FGP_ANALYZE_DISAMBIG_HH
@@ -135,19 +135,6 @@ BlockDisambig disambigBlock(const ImageBlock &block);
 
 /** Classify every block of @p image. */
 DisambigImage disambigImage(const CodeImage &image);
-
-/**
- * Whether the scheduler and engine consume no-alias facts
- * (FGP_STATIC_DISAMBIG=1; default off — schedules stay bit-identical).
- */
-bool staticDisambigEnabled();
-
-/**
- * Whether the retirement-time soundness cross-check runs
- * (FGP_DISAMBIG_XCHECK override; default on in debug builds, off in
- * release).
- */
-bool disambigXcheckEnabled();
 
 /**
  * Adapter for TranslateOptions::disambigHook: computes per-block

@@ -1,7 +1,6 @@
 #include "analyze/oracle.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 
 #include "base/logging.hh"
@@ -311,17 +310,6 @@ greedyMakespan(const ImageBlock &block, const IssueModel &issue,
     return packedMakespan(copy, mem_hit_latency, facts);
 }
 
-std::size_t
-envBudget(std::size_t fallback)
-{
-    static const long parsed = [] {
-        if (const char *env = std::getenv("FGP_ORACLE_BUDGET"))
-            return std::strtol(env, nullptr, 10);
-        return -1L;
-    }();
-    return parsed >= 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-
 } // namespace
 
 int
@@ -436,23 +424,11 @@ oracleImage(const CodeImage &image, const MachineConfig &config,
     return out;
 }
 
-bool
-oracleSchedEnabled()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("FGP_ORACLE_SCHED");
-        return env != nullptr && env[0] == '1';
-    }();
-    return enabled;
-}
-
 std::function<void(ImageBlock &, const IssueModel &, int,
                    const MemDepFacts *)>
 oracleAdoptionHook(const OracleOptions &opts)
 {
-    OracleOptions hook_opts = opts;
-    hook_opts.maxStates = envBudget(opts.maxStates);
-    return [hook_opts](ImageBlock &block, const IssueModel &issue,
+    return [hook_opts = opts](ImageBlock &block, const IssueModel &issue,
                        int mem_hit_latency, const MemDepFacts *facts) {
         if (block.nodes.size() > hook_opts.adoptMaxNodes)
             return;

@@ -31,7 +31,7 @@
  *  - lint AN009 (greedy gap on a hot block) and AN010 (budget exhausted)
  *    through the verify::diag registry;
  *  - an opt-in translation hook (TranslateOptions::oracleHook, installed
- *    by the harness under FGP_ORACLE_SCHED=1, default off) that adopts
+ *    under RunOptions::oracleSched, default off) that adopts
  *    provably shorter oracle schedules for small blocks — re-proven
  *    effect-equivalent by verify::postTranslationCheck like any other
  *    translation;
@@ -159,12 +159,6 @@ BlockOracle oracleBlock(const ImageBlock &block, const IssueModel &issue,
 /** Solve every block of a translated @p image. */
 ImageOracle oracleImage(const CodeImage &image, const MachineConfig &config,
                         const OracleOptions &opts = {});
-
-/**
- * Whether translation adopts oracle schedules (FGP_ORACLE_SCHED=1;
- * default off — schedules stay bit-identical to the greedy baseline).
- */
-bool oracleSchedEnabled();
 
 /**
  * Adapter for TranslateOptions::oracleHook: re-schedules a freshly

@@ -211,7 +211,7 @@ planEnlargement(const CodeImage &single, const Profile &profile,
 
 CodeImage
 applyEnlargement(const CodeImage &single, const EnlargePlan &plan,
-                 EnlargeStats *stats)
+                 EnlargeStats *stats, const EnlargeOptions &opts)
 {
     validateImage(single);
 
@@ -364,8 +364,8 @@ applyEnlargement(const CodeImage &single, const EnlargePlan &plan,
 
     out.entryBlock = out.blockAtPc(single.prog->entry);
     validateImage(out);
-    verify::postEnlargementCheck(single, out, plan,
-                                 EnlargeOptions{}.maxInstances);
+    if (opts.verify)
+        verify::postEnlargementCheck(single, out, plan, opts.maxInstances);
     return out;
 }
 
@@ -374,7 +374,7 @@ enlarge(const CodeImage &single, const Profile &profile,
         const EnlargeOptions &opts, EnlargeStats *stats)
 {
     return applyEnlargement(single, planEnlargement(single, profile, opts),
-                            stats);
+                            stats, opts);
 }
 
 } // namespace fgp

@@ -33,6 +33,7 @@
 
 #include "bbe/plan.hh"
 #include "ir/image.hh"
+#include "verify/postpass.hh"
 #include "vm/profile.hh"
 
 namespace fgp {
@@ -98,6 +99,9 @@ struct EnlargeOptions
 
     /** Optional chain-ranking hook applied to the finished plan. */
     PlanAuditHook auditHook;
+
+    /** Run verify::postEnlargementCheck on the enlarged image. */
+    bool verify = verify::kChecksDefault;
 };
 
 /** Summary statistics of one enlargement run. */
@@ -120,11 +124,13 @@ EnlargePlan planEnlargement(const CodeImage &single, const Profile &profile,
 /**
  * Build the enlarged image of @p single from an explicit plan (e.g. one
  * parsed from an enlargement file). Validates that each chain follows
- * real control-flow arcs; throws FatalError on corrupt plans. The source
- * image and its program must outlive the result.
+ * real control-flow arcs; throws FatalError on corrupt plans. Of
+ * @p opts only the post-pass check settings (verify, maxInstances) apply.
+ * The source image and its program must outlive the result.
  */
 CodeImage applyEnlargement(const CodeImage &single, const EnlargePlan &plan,
-                           EnlargeStats *stats = nullptr);
+                           EnlargeStats *stats = nullptr,
+                           const EnlargeOptions &opts = {});
 
 /** planEnlargement + applyEnlargement in one step. */
 CodeImage enlarge(const CodeImage &single, const Profile &profile,

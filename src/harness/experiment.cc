@@ -3,18 +3,67 @@
 #include <chrono>
 
 #include "analyze/analyze.hh"
-#include "analyze/disambig.hh"
-#include "analyze/oracle.hh"
 #include "base/logging.hh"
+#include "base/strutil.hh"
 #include "engine/workspace.hh"
 #include "verify/diag.hh"
 #include "ir/cfg.hh"
 #include "metrics/registry.hh"
-#include "tld/translate.hh"
 #include "vm/atomic_runner.hh"
 #include "vm/interp.hh"
 
 namespace fgp {
+
+RunOptions
+RunOptions::fromEnv(char *(*lookup)(const char *))
+{
+    const auto flag = [lookup](const char *name, bool fallback) {
+        const char *env = lookup(name);
+        if (env && env[0] == '1')
+            return true;
+        if (env && env[0] == '0')
+            return false;
+        return fallback;
+    };
+    RunOptions run;
+    run.staticDisambig = flag("FGP_STATIC_DISAMBIG", run.staticDisambig);
+    run.oracleSched = flag("FGP_ORACLE_SCHED", run.oracleSched);
+    run.checks = flag("FGP_VERIFY", run.checks);
+    if (const char *env = lookup("FGP_ORACLE_BUDGET")) {
+        const auto budget = parseInt(env);
+        if (!budget || *budget < 0)
+            fgp_fatal("FGP_ORACLE_BUDGET must be a non-negative integer, "
+                      "not '", env, "'");
+        run.oracleBudget = static_cast<std::size_t>(*budget);
+    }
+    return run;
+}
+
+void
+translateForRun(CodeImage &image, const MachineConfig &config,
+                const RunOptions &run, TranslateOptions base,
+                EngineOptions *engine, analyze::DisambigImage *facts)
+{
+    if (run.staticDisambig && !base.disambigHook)
+        base.disambigHook = analyze::disambigSchedulingHook();
+    if (run.oracleSched && !base.oracleHook) {
+        analyze::OracleOptions oracle;
+        oracle.maxStates = run.oracleBudget;
+        base.oracleHook = analyze::oracleAdoptionHook(oracle);
+    }
+    base.verify = run.checks;
+    translate(image, config, base);
+
+    // The facts are computed over the translated image, so their issue
+    // positions match the words the engine simulates.
+    if (!engine || !(run.staticDisambig || run.checks))
+        return;
+    fgp_assert(facts, "translateForRun: engine wiring needs facts storage");
+    *facts = analyze::disambigImage(image);
+    engine->disambig = facts;
+    engine->disambigFastPath = run.staticDisambig;
+    engine->disambigXcheck = run.checks;
+}
 
 struct ExperimentRunner::Prepared
 {
@@ -43,9 +92,11 @@ struct ExperimentRunner::Entry
     std::unique_ptr<Prepared> prepared;
 };
 
-ExperimentRunner::ExperimentRunner(double scale, EnlargeOptions enlarge_opts)
-    : scale_(scale), enlargeOpts_(enlarge_opts)
+ExperimentRunner::ExperimentRunner(double scale, const RunOptions &run,
+                                   EnlargeOptions enlarge_opts)
+    : scale_(scale), run_(run), enlargeOpts_(std::move(enlarge_opts))
 {
+    enlargeOpts_.verify = run_.checks;
 }
 
 ExperimentRunner::~ExperimentRunner() = default;
@@ -146,39 +197,18 @@ ExperimentRunner::run(const std::string &name, const MachineConfig &config)
 
     const bool enlarged_image = config.branch != BranchMode::Single;
     CodeImage image = enlarged_image ? p.enlarged : p.single;
+    EngineOptions opts;
+    analyze::DisambigImage disambig_facts;
     {
         metrics::ScopedTimer timer(metrics_, "host.phase.translate_ns");
-        TranslateOptions topts = translateOpts_;
-        // FGP_STATIC_DISAMBIG=1: the static scheduler consumes proven
-        // no-alias facts (hoists loads above independent stores).
-        if (analyze::staticDisambigEnabled() && !topts.disambigHook)
-            topts.disambigHook = analyze::disambigSchedulingHook();
-        // FGP_ORACLE_SCHED=1: small blocks adopt exact oracle schedules
-        // when provably shorter (FGP_ORACLE_BUDGET caps the search).
-        // Both default off — schedules stay bit-identical.
-        if (analyze::oracleSchedEnabled() && !topts.oracleHook)
-            topts.oracleHook = analyze::oracleAdoptionHook();
-        translate(image, config, topts);
+        translateForRun(image, config, run_, translateOpts_, &opts,
+                        &disambig_facts);
     }
     const double static_bound = analyze::staticIpcBound(image);
-
-    // Static memory-disambiguation facts over the translated image: the
-    // engine consumes them (probe-skipping fast path) when the feature
-    // is on, and cross-checks them at retirement when the debug-build
-    // soundness check is on. Computed fresh per point — the image is
-    // translated per configuration, so issuePos matches its words.
-    analyze::DisambigImage disambig_facts;
-    const bool disambig_fast = analyze::staticDisambigEnabled();
-    const bool disambig_xcheck = analyze::disambigXcheckEnabled();
-    if (disambig_fast || disambig_xcheck) {
-        metrics::ScopedTimer timer(metrics_, "host.phase.disambig_ns");
-        disambig_facts = analyze::disambigImage(image);
-    }
 
     SimOS os;
     p.workload.prepareOs(os, InputSet::Measure);
 
-    EngineOptions opts;
     opts.config = config;
     if (config.branch == BranchMode::Perfect)
         opts.perfectTrace = &p.perfectTrace;
@@ -190,12 +220,6 @@ ExperimentRunner::run(const std::string &name, const MachineConfig &config)
     opts.predictFaultTargets = tweaks_.predictFaultTargets;
     opts.windowOverride = tweaks_.windowOverride;
     opts.conservativeLoads = tweaks_.conservativeLoads;
-    if (disambig_fast || disambig_xcheck) {
-        opts.disambig = &disambig_facts;
-        opts.disambigFastPath = disambig_fast;
-        opts.disambigXcheck = disambig_xcheck;
-    }
-
     opts.metrics = metrics_;
 
     // Pool the engine's arenas per worker thread: after the first run
@@ -260,8 +284,7 @@ ExperimentRunner::run(const std::string &name, const MachineConfig &config)
     // Static/dynamic cross-check: no run may retire more nodes per cycle
     // than the analyzer's sound bound for its translated image.
     result.staticIpcBound = static_bound;
-    if (analyze::xcheckEnabled() &&
-        result.engine.nodesPerCycle() > static_bound * (1.0 + 1e-9)) {
+    if (result.engine.nodesPerCycle() > static_bound * (1.0 + 1e-9)) {
         fgp_panic("static ILP bound violated: workload ", name, " config ",
                   config.name(), " retired ", result.engine.nodesPerCycle(),
                   " nodes/cycle against a static bound of ", static_bound);

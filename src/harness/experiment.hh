@@ -17,23 +17,82 @@
 #ifndef FGP_HARNESS_EXPERIMENT_HH
 #define FGP_HARNESS_EXPERIMENT_HH
 
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "analyze/disambig.hh"
+#include "analyze/oracle.hh"
 #include "arch/config.hh"
 #include "bbe/enlarge.hh"
 #include "engine/engine.hh"
 #include "profile/profile.hh"
 #include "tld/translate.hh"
+#include "verify/postpass.hh"
 #include "vm/profile.hh"
 #include "workloads/workloads.hh"
 
 namespace fgp {
 
 namespace metrics { class Registry; }
+
+/**
+ * The behaviour knobs of one run. Program entry points (fgpsim's main,
+ * every bench main) parse them once with fromEnv() and pass them down
+ * explicitly; library code never reads the environment for them. With
+ * every field at its default, schedules are those of the greedy,
+ * conservatively disambiguated baseline.
+ */
+struct RunOptions
+{
+    /**
+     * FGP_STATIC_DISAMBIG=1: the tld scheduler and the engine's
+     * fast-load path consume statically proven no-alias facts.
+     */
+    bool staticDisambig = false;
+
+    /**
+     * FGP_ORACLE_SCHED=1: translation adopts provably shorter
+     * exact-oracle schedules for small blocks.
+     */
+    bool oracleSched = false;
+
+    /** FGP_ORACLE_BUDGET: search states per adopted oracle block. */
+    std::size_t oracleBudget = analyze::OracleOptions{}.maxStates;
+
+    /**
+     * FGP_VERIFY=1/0: post-pass verification of enlargement and
+     * translation plus the engine's retirement-time disambiguation
+     * cross-check. Defaults to the build type (on iff !NDEBUG).
+     */
+    bool checks = verify::kChecksDefault;
+
+    /**
+     * Parse the four knobs from the environment (@p lookup stands in for
+     * std::getenv in tests). Flags read "1" as on and "0" as off,
+     * anything else keeps the default; a budget that is not a
+     * non-negative integer throws FatalError.
+     */
+    static RunOptions fromEnv(char *(*lookup)(const char *) = std::getenv);
+};
+
+/**
+ * Translate @p image for @p config as @p run asks, on top of @p base
+ * (optimizer ablations; hooks already set there win): the scheduler gets
+ * the no-alias hook under staticDisambig and the oracle adoption hook
+ * under oracleSched, and the post-pass check follows run.checks. When
+ * @p engine is given, the translated image's disambiguation facts are
+ * computed into @p facts if the engine consumes them (staticDisambig) or
+ * cross-checks them at retirement (checks), and @p engine is pointed at
+ * them; @p facts must then outlive the simulate() call.
+ */
+void translateForRun(CodeImage &image, const MachineConfig &config,
+                     const RunOptions &run, TranslateOptions base = {},
+                     EngineOptions *engine = nullptr,
+                     analyze::DisambigImage *facts = nullptr);
 
 /** One data point. */
 struct ExperimentResult
@@ -62,7 +121,7 @@ struct ExperimentResult
      * Sound static upper bound on retired nodes per cycle, computed from
      * the translated image before simulation (analyze::staticIpcBound).
      * The harness cross-checks engine.nodesPerCycle() against it after
-     * every run when analyze::xcheckEnabled().
+     * every run.
      */
     double staticIpcBound = 0.0;
 
@@ -100,9 +159,11 @@ class ExperimentRunner
   public:
     /**
      * @param scale input-size scale (1.0 = default benchmark size).
-     * @param enlarge_opts thresholds for the enlargement pass.
+     * @param run behaviour knobs applied to every run.
+     * @param enlarge_opts thresholds for the enlargement pass (its
+     *        verify flag is taken from @p run).
      */
-    explicit ExperimentRunner(double scale = 1.0,
+    explicit ExperimentRunner(double scale = 1.0, const RunOptions &run = {},
                               EnlargeOptions enlarge_opts = {});
     ~ExperimentRunner();
 
@@ -183,8 +244,12 @@ class ExperimentRunner
     /** Input scale this runner was constructed with. */
     double scale() const { return scale_; }
 
+    /** Behaviour knobs this runner was constructed with. */
+    const RunOptions &runOptions() const { return run_; }
+
   private:
     double scale_;
+    RunOptions run_;
     EnlargeOptions enlargeOpts_;
     TranslateOptions translateOpts_ = {};
     EngineTweaks tweaks_ = {};

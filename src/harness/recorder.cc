@@ -105,8 +105,23 @@ RunRecorder::headerLine()
     w.field("timestamp", static_cast<std::uint64_t>(timestamp_));
     w.field("iso_time", metrics::isoTime(timestamp_));
     w.field("host", metrics::hostInfo());
+#ifdef NDEBUG
+    w.field("build", "ndebug");
+#else
+    w.field("build", "debug");
+#endif
     w.field("jobs", sweepJobs());
     w.field("scale", runner_ ? runner_->scale() : 0.0);
+    const RunOptions run = runner_ ? runner_->runOptions() : RunOptions{};
+    const auto flag = [](bool on) { return on ? "true" : "false"; };
+    w.raw("run_options",
+          metrics::JsonLineWriter()
+              .raw("static_disambig", flag(run.staticDisambig))
+              .raw("oracle_sched", flag(run.oracleSched))
+              .field("oracle_budget",
+                     static_cast<std::uint64_t>(run.oracleBudget))
+              .raw("checks", flag(run.checks))
+              .str());
     w.field("sims", static_cast<std::uint64_t>(points_.size()));
     w.field("wall_seconds", wall);
     w.field("sims_per_sec", wall > 0.0 ? sims / wall : 0.0);

@@ -8,9 +8,9 @@
  *  - the stderr progress sink (TTY status line / JSONL heartbeats) to
  *    pass into runSweep();
  *  - the `fgpsim-run-v1` manifest: a header record describing the run
- *    (schema, git describe, host, timestamp, jobs, scale, wall time,
- *    aggregate cycles, registry snapshot) plus one point record per
- *    (workload, configuration) cell, written as JSONL.
+ *    (schema, git describe, host, build, timestamp, jobs, scale, run
+ *    options, wall time, aggregate cycles, registry snapshot) plus one
+ *    point record per (workload, configuration) cell, written as JSONL.
  *
  * Every sweep bench constructs one, record()s its results, and calls
  * writeEnvManifest() — so setting FGP_RUN_MANIFEST=path on any bench

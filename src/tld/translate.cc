@@ -12,8 +12,7 @@ translate(CodeImage &image, const MachineConfig &config,
 {
     OptimizerStats stats;
     CodeImage before;
-    const bool check = verify::postPassChecksEnabled();
-    if (check)
+    if (opts.verify)
         before = image;
     for (ImageBlock &block : image.blocks) {
         if (opts.optimizeAll || (opts.optimizeEnlarged && block.enlarged))
@@ -35,7 +34,7 @@ translate(CodeImage &image, const MachineConfig &config,
         }
     }
     validateImage(image);
-    if (check)
+    if (opts.verify)
         verify::postTranslationCheck(before, image);
     return stats;
 }

@@ -15,6 +15,7 @@
 #include "ir/image.hh"
 #include "tld/depgraph.hh"
 #include "tld/optimizer.hh"
+#include "verify/postpass.hh"
 
 namespace fgp {
 
@@ -40,9 +41,9 @@ struct TranslateOptions
      * optimization and before static scheduling. The returned no-alias
      * facts let the scheduler hoist loads above provably independent
      * stores. Default none: schedules stay bit-identical to the
-     * conservative baseline. Installed by the harness when
-     * FGP_STATIC_DISAMBIG=1 (analyze::disambigSchedulingHook); tld itself
-     * never computes facts, keeping the layering acyclic.
+     * conservative baseline. Installed by translateForRun under
+     * RunOptions::staticDisambig (analyze::disambigSchedulingHook); tld
+     * itself never computes facts, keeping the layering acyclic.
      */
     std::function<MemDepFacts(const ImageBlock &)> disambigHook;
 
@@ -52,15 +53,18 @@ struct TranslateOptions
      * facts the greedy schedule was built with. It may replace
      * block.words with a provably shorter schedule obeying the same
      * packing rules. Default none: schedules stay bit-identical to the
-     * greedy baseline. Installed by the harness when FGP_ORACLE_SCHED=1
-     * (analyze::oracleAdoptionHook); like the disambig hook, tld never
-     * computes the schedules itself, keeping the layering acyclic. The
-     * post-translation verifier re-proves adopted images
-     * effect-equivalent as for any other translation.
+     * greedy baseline. Installed by translateForRun under
+     * RunOptions::oracleSched (analyze::oracleAdoptionHook); like the
+     * disambig hook, tld never computes the schedules itself, keeping
+     * the layering acyclic. The post-translation verifier re-proves
+     * adopted images effect-equivalent as for any other translation.
      */
     std::function<void(ImageBlock &, const IssueModel &, int,
                        const MemDepFacts *)>
         oracleHook;
+
+    /** Run verify::postTranslationCheck on the result. */
+    bool verify = verify::kChecksDefault;
 };
 
 /**

@@ -1,8 +1,5 @@
 #include "verify/postpass.hh"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "base/logging.hh"
 #include "verify/equiv.hh"
 #include "verify/verify.hh"
@@ -10,28 +7,6 @@
 namespace fgp::verify {
 
 namespace {
-
-/** -1 = follow the FGP_VERIFY / build-type default, else forced 0/1. */
-std::atomic<int> g_override{-1};
-
-bool
-defaultEnabled()
-{
-    static const bool enabled = [] {
-        if (const char *env = std::getenv("FGP_VERIFY")) {
-            if (env[0] == '1')
-                return true;
-            if (env[0] == '0')
-                return false;
-        }
-#ifdef NDEBUG
-        return false;
-#else
-        return true;
-#endif
-    }();
-    return enabled;
-}
 
 void
 failOn(const Report &report, const char *pass)
@@ -44,33 +19,10 @@ failOn(const Report &report, const char *pass)
 
 } // namespace
 
-bool
-postPassChecksEnabled()
-{
-    const int forced = g_override.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return forced != 0;
-    return defaultEnabled();
-}
-
-void
-setPostPassChecks(bool enabled)
-{
-    g_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-void
-resetPostPassChecks()
-{
-    g_override.store(-1, std::memory_order_relaxed);
-}
-
 void
 postEnlargementCheck(const CodeImage &single, const CodeImage &enlarged,
                      const EnlargePlan &plan, int max_instances)
 {
-    if (!postPassChecksEnabled())
-        return;
     Report report;
     verifyImageInto(enlarged, report, {}, "enlarged");
     checkEnlargementSoundness(single, enlarged, plan, report, max_instances,
@@ -81,8 +33,6 @@ postEnlargementCheck(const CodeImage &single, const CodeImage &enlarged,
 void
 postTranslationCheck(const CodeImage &before, const CodeImage &after)
 {
-    if (!postPassChecksEnabled())
-        return;
     Report report;
     verifyImageInto(after, report, {}, "translated");
     checkTranslationSoundness(before, after, report, "translated");

@@ -5,9 +5,10 @@
  * fails fast at the pass that introduced it instead of surfacing as a
  * wrong simulation result.
  *
- * Default: enabled in debug builds (!NDEBUG), disabled in release; the
- * FGP_VERIFY environment variable ("1"/"0") overrides either way.
- * Violations throw FatalError carrying the rendered diagnostics.
+ * Each pass runs its check when its options say so (EnlargeOptions::
+ * verify, TranslateOptions::verify); both default to kChecksDefault, and
+ * RunOptions::checks (FGP_VERIFY) sets them for a whole run. Violations
+ * throw FatalError carrying the rendered diagnostics.
  */
 
 #ifndef FGP_VERIFY_POSTPASS_HH
@@ -18,32 +19,17 @@
 
 namespace fgp::verify {
 
-/** Whether the passes run their post-pass checks. */
-bool postPassChecksEnabled();
-
-/** Force the post-pass checks on or off (tests; overrides FGP_VERIFY). */
-void setPostPassChecks(bool enabled);
-
-/** Drop back to the FGP_VERIFY / build-type default. */
-void resetPostPassChecks();
-
-/** RAII guard used by tests that must build deliberately broken images. */
-class ScopedPostPassChecks
-{
-  public:
-    explicit ScopedPostPassChecks(bool enabled)
-    {
-        setPostPassChecks(enabled);
-    }
-    ~ScopedPostPassChecks() { resetPostPassChecks(); }
-    ScopedPostPassChecks(const ScopedPostPassChecks &) = delete;
-    ScopedPostPassChecks &operator=(const ScopedPostPassChecks &) = delete;
-};
+/** Whether checks run by default: on in debug builds (!NDEBUG) only. */
+#ifdef NDEBUG
+inline constexpr bool kChecksDefault = false;
+#else
+inline constexpr bool kChecksDefault = true;
+#endif
 
 /**
  * Post-pass hook of applyEnlargement: structural verification of the
- * enlarged image plus plan-aware enlargement soundness. No-op when
- * checks are disabled; throws FatalError on any error finding.
+ * enlarged image plus plan-aware enlargement soundness. Throws
+ * FatalError on any error finding.
  */
 void postEnlargementCheck(const CodeImage &single, const CodeImage &enlarged,
                           const EnlargePlan &plan, int max_instances);
@@ -51,8 +37,7 @@ void postEnlargementCheck(const CodeImage &single, const CodeImage &enlarged,
 /**
  * Post-pass hook of translate(): structural verification of the
  * translated image plus per-block soundness against the pre-translation
- * snapshot. No-op when checks are disabled; throws FatalError on any
- * error finding.
+ * snapshot. Throws FatalError on any error finding.
  */
 void postTranslationCheck(const CodeImage &before, const CodeImage &after);
 

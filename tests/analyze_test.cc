@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -33,16 +32,11 @@ namespace {
 using verify::Code;
 using verify::Report;
 
-// Force the full disambiguation pipeline on for every run this binary
+// The full disambiguation pipeline, for every harness run this binary
 // makes: the scheduler consumes no-alias facts, the engine takes the
 // fast-load path, and retirement re-checks every proven pair (MD001/
-// MD002 panics on unsoundness). Must happen before any ExperimentRunner
-// use — the enable predicates cache their first read.
-[[maybe_unused]] const bool g_disambig_forced = [] {
-    setenv("FGP_STATIC_DISAMBIG", "1", 1);
-    setenv("FGP_DISAMBIG_XCHECK", "1", 1);
-    return true;
-}();
+// MD002 panics on unsoundness).
+const RunOptions kDisambigChecked{.staticDisambig = true, .checks = true};
 
 // ---------------------------------------------------------------------------
 // Node/block fixture helpers.
@@ -709,7 +703,7 @@ TEST(AnalyzeLint, PackedMayAliasPairIsNotFlagged)
 
 TEST(AnalyzeSweep, StaticBoundDominatesMeasuredIpc)
 {
-    ExperimentRunner runner(0.05);
+    ExperimentRunner runner(0.05, kDisambigChecked);
     std::vector<MachineConfig> configs;
     for (int im : {1, 2, 8})
         for (BranchMode bm : {BranchMode::Single, BranchMode::Enlarged})
@@ -735,16 +729,13 @@ TEST(AnalyzeSweep, StaticBoundDominatesMeasuredIpc)
 // ---------------------------------------------------------------------------
 // The disambiguator's own machine-checked soundness proof: with facts
 // consumed (scheduling + fast loads) and the retirement cross-check
-// armed (see g_disambig_forced), every workload on every issue model
+// armed (kDisambigChecked), every workload on every issue model
 // must retire with zero MD001/MD002 violations — the harness panics on
 // any, and the counters prove the check actually ran.
 
 TEST(DisambigXcheck, NoAliasFactsSoundOnAllWorkloads)
 {
-    ASSERT_TRUE(analyze::staticDisambigEnabled());
-    ASSERT_TRUE(analyze::disambigXcheckEnabled());
-
-    ExperimentRunner runner(0.05);
+    ExperimentRunner runner(0.05, kDisambigChecked);
     std::uint64_t checked = 0;
     std::size_t workloads_with_fast_loads = 0;
     for (const std::string &workload : workloadNames()) {
@@ -935,9 +926,6 @@ TEST(AnalyzeOracle, LintGapAndBudgetCodes)
 
 TEST(AnalyzeOracle, AdoptionHookInstallsTheShorterSchedule)
 {
-    // The hook is opt-in: this binary never sets FGP_ORACLE_SCHED.
-    EXPECT_FALSE(analyze::oracleSchedEnabled());
-
     ImageBlock block = gapFixture();
     scheduleStatic(block, issueModel(3), 1);
     EXPECT_EQ(analyze::packedMakespan(block, 1), 4);
@@ -950,7 +938,7 @@ TEST(AnalyzeOracle, AdoptionHookInstallsTheShorterSchedule)
 TEST(AnalyzeOracle, AdoptionHookKeepsOptimalGreedySchedules)
 {
     // When greedy already matches the oracle the words are untouched —
-    // with the hook never installed (the FGP_ORACLE_SCHED=0 default)
+    // with the hook never installed (the RunOptions::oracleSched default)
     // translation is bit-identical by construction.
     ImageBlock block = blockOf(
         {rrr(Opcode::ADD, 10, 1, 2), rrr(Opcode::ADD, 11, 10, 2),

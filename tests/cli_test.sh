@@ -178,6 +178,22 @@ sh "$CHECK_BENCH" --validate-profile "$TMP/profile.jsonl"
 grep -q '"kind":"critpath"' "$TMP/profile.jsonl"
 grep -q '"kind":"critblock"' "$TMP/profile.jsonl"
 
+# Every simulating subcommand translates under the same run options:
+# with static disambiguation on, sim and profile schedule (and so
+# report) the same cycles for one image.
+FGP_STATIC_DISAMBIG=1 "$FGPSIM" sim compress --config static/8A/enlarged \
+    --json > "$TMP/sim_sd.json" 2> /dev/null
+FGP_STATIC_DISAMBIG=1 "$FGPSIM" profile compress \
+    --config static/8A/enlarged --json > "$TMP/profile_sd.jsonl" 2> /dev/null
+sim_cycles=$(grep -o '"cycles": *[0-9]*' "$TMP/sim_sd.json" | head -n 1 |
+             tr -dc 0-9)
+prof_cycles=$(head -n 1 "$TMP/profile_sd.jsonl" |
+              grep -o '"cycles": *[0-9]*' | tr -dc 0-9)
+if [ -z "$sim_cycles" ] || [ "$sim_cycles" != "$prof_cycles" ]; then
+    echo "sim ($sim_cycles) and profile ($prof_cycles) cycles differ" >&2
+    exit 1
+fi
+
 # Static configs profile too, and the stream still closes.
 "$FGPSIM" profile sort --config static/4A/single --interval 2000 \
     --json > "$TMP/profile_static.jsonl" 2> /dev/null
@@ -219,11 +235,22 @@ grep -q -- "--append" "$TMP/history_empty.txt"
 # to itself is clean; an IPC drop or a wall-time blowup past tolerance
 # exits nonzero (the CI perf gate contract).
 cat > "$TMP/run_a.jsonl" <<'JSONL'
-{"schema":"fgpsim-run-v1","kind":"run","bench":"t","git":"abc","timestamp":1,"jobs":1,"scale":1,"sims":2,"wall_seconds":1.0,"sim_cycles":1000,"host_ns_per_sim_cycle":100}
+{"schema":"fgpsim-run-v1","kind":"run","bench":"t","git":"abc","build":"ndebug","timestamp":1,"jobs":1,"scale":1,"run_options":{"static_disambig":false,"oracle_sched":false,"oracle_budget":250000,"checks":false},"sims":2,"wall_seconds":1.0,"sim_cycles":1000,"host_ns_per_sim_cycle":100}
 {"kind":"point","workload":"sort","config":"dyn4/8A/enlarged","nodes_per_cycle":2.0,"cycles":500,"host_ns":1000}
 {"kind":"point","workload":"grep","config":"dyn4/8A/enlarged","nodes_per_cycle":1.0,"cycles":500,"host_ns":1000}
 JSONL
 sh "$CHECK_BENCH" --validate-run "$TMP/run_a.jsonl"
+# The run header must carry its provenance: the build type and every
+# behaviour knob.
+for drop in 's/"build":"ndebug",//' 's/,"checks":false//' \
+            's/"run_options":{[^}]*},//'; do
+    sed "$drop" "$TMP/run_a.jsonl" > "$TMP/run_noprov.jsonl"
+    if sh "$CHECK_BENCH" --validate-run "$TMP/run_noprov.jsonl" \
+        2> /dev/null; then
+        echo "expected --validate-run to reject: $drop" >&2
+        exit 1
+    fi
+done
 "$FGPSIM" compare "$TMP/run_a.jsonl" "$TMP/run_a.jsonl" > /dev/null
 
 # A 20% IPC drop on one point regresses at the default 10% tolerance...

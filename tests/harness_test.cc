@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "base/logging.hh"
 #include "harness/experiment.hh"
 #include "harness/parallel.hh"
 #include "ir/cfg.hh"
@@ -15,6 +19,51 @@ MachineConfig
 cfg(Discipline d, int issue, char mem, BranchMode branch)
 {
     return {d, issueModel(issue), memoryConfig(mem), branch};
+}
+
+std::map<std::string, std::string> g_env;
+
+char *
+fakeEnv(const char *name)
+{
+    const auto it = g_env.find(name);
+    return it == g_env.end() ? nullptr : it->second.data();
+}
+
+TEST(RunOptions, FromEnvParsesEveryKnob)
+{
+    g_env.clear();
+    const RunOptions unset = RunOptions::fromEnv(fakeEnv);
+    EXPECT_FALSE(unset.staticDisambig);
+    EXPECT_FALSE(unset.oracleSched);
+    EXPECT_EQ(unset.oracleBudget, analyze::OracleOptions{}.maxStates);
+#ifdef NDEBUG
+    EXPECT_FALSE(unset.checks);
+#else
+    EXPECT_TRUE(unset.checks);
+#endif
+
+    g_env = {{"FGP_STATIC_DISAMBIG", "1"}, {"FGP_ORACLE_SCHED", "1"},
+             {"FGP_VERIFY", "1"}, {"FGP_ORACLE_BUDGET", "17"}};
+    const RunOptions on = RunOptions::fromEnv(fakeEnv);
+    EXPECT_TRUE(on.staticDisambig);
+    EXPECT_TRUE(on.oracleSched);
+    EXPECT_TRUE(on.checks);
+    EXPECT_EQ(on.oracleBudget, 17u);
+
+    g_env = {{"FGP_STATIC_DISAMBIG", "0"}, {"FGP_ORACLE_SCHED", "0"},
+             {"FGP_VERIFY", "0"}, {"FGP_ORACLE_BUDGET", "0"}};
+    const RunOptions off = RunOptions::fromEnv(fakeEnv);
+    EXPECT_FALSE(off.staticDisambig);
+    EXPECT_FALSE(off.oracleSched);
+    EXPECT_FALSE(off.checks);
+    EXPECT_EQ(off.oracleBudget, 0u);
+
+    for (const char *bad : {"-1", "12x", "", "lots"}) {
+        g_env = {{"FGP_ORACLE_BUDGET", bad}};
+        EXPECT_THROW(RunOptions::fromEnv(fakeEnv), FatalError) << bad;
+    }
+    g_env.clear();
 }
 
 TEST(Harness, MetricUsesReferenceNodes)

@@ -155,22 +155,29 @@ const GoldenRow kGolden[] = {
 
 TEST(ScheduleParity, GoldenHashesPerWorkloadAndIssueModel)
 {
-    ExperimentRunner runner(kScale);
+    // The checks (post-pass verification, disambiguation cross-check)
+    // observe the schedule and must never change it: every cell hashes
+    // to the same golden with them off and on, in any build type.
     const bool dump = std::getenv("FGP_DUMP_GOLDEN") != nullptr;
-    for (const GoldenRow &row : kGolden) {
-        for (int m = 0; m < 4; ++m) {
-            const std::uint64_t h =
-                cellHash(runner, row.workload, kIssueModels[m]);
-            if (dump) {
-                std::fprintf(stderr, "GOLDEN %s im%d 0x%016llxULL\n",
-                             row.workload, kIssueModels[m],
-                             static_cast<unsigned long long>(h));
-                continue;
+    for (const bool checks : {false, true}) {
+        ExperimentRunner runner(kScale, RunOptions{.checks = checks});
+        for (const GoldenRow &row : kGolden) {
+            for (int m = 0; m < 4; ++m) {
+                const std::uint64_t h =
+                    cellHash(runner, row.workload, kIssueModels[m]);
+                if (dump) {
+                    std::fprintf(stderr,
+                                 "GOLDEN checks=%d %s im%d 0x%016llxULL\n",
+                                 checks, row.workload, kIssueModels[m],
+                                 static_cast<unsigned long long>(h));
+                    continue;
+                }
+                EXPECT_EQ(h, row.hash[m])
+                    << row.workload << " issue model " << kIssueModels[m]
+                    << " checks " << checks
+                    << ": schedule fingerprint changed — the engine "
+                       "layout is no longer schedule-preserving";
             }
-            EXPECT_EQ(h, row.hash[m])
-                << row.workload << " issue model " << kIssueModels[m]
-                << ": schedule fingerprint changed — the engine layout "
-                   "is no longer schedule-preserving";
         }
     }
 }

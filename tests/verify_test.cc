@@ -521,10 +521,12 @@ loop:   addi r8, r8, -1
     plan.chains.push_back(
         EnlargeChain{std::vector<std::int32_t>(17, loop_pc)});
 
-    // The post-pass hook would (rightly) reject this build in debug mode;
-    // suspend it so the checker can be exercised directly.
-    verify::ScopedPostPassChecks suspend(false);
-    const CodeImage enlarged = applyEnlargement(single, plan);
+    // The post-pass hook would (rightly) reject this build; leave it off
+    // so the checker can be exercised directly.
+    EnlargeOptions unchecked;
+    unchecked.verify = false;
+    const CodeImage enlarged =
+        applyEnlargement(single, plan, nullptr, unchecked);
 
     Report report;
     verify::checkEnlargementSoundness(single, enlarged, plan, report);
@@ -764,11 +766,14 @@ TEST(Verify, PostPassChecksAreScheduleNeutral)
     const MachineConfig config = parseMachineConfig("dyn4/8A/enlarged");
 
     auto run = [&](bool checks) {
-        verify::ScopedPostPassChecks guard(checks);
         const Program &prog = loopProgram();
         const CodeImage single = buildCfg(prog);
-        CodeImage image = enlarge(single, profileOf(prog));
-        translate(image, config);
+        EnlargeOptions eopts;
+        eopts.verify = checks;
+        CodeImage image = enlarge(single, profileOf(prog), eopts);
+        TranslateOptions topts;
+        topts.verify = checks;
+        translate(image, config, topts);
         SimOS os;
         EngineOptions opts;
         opts.config = config;

@@ -42,6 +42,22 @@ struct AluCase
     std::uint32_t expect;
 };
 
+/**
+ * gtest names each case after its printed value; without this it dumps the
+ * struct's raw bytes (a string pointer and padding), which differ per build.
+ */
+void
+PrintTo(const AluCase &c, std::ostream *os)
+{
+    std::string body = c.body;
+    if (!body.empty() && body.back() == '\n')
+        body.pop_back();
+    for (char &ch : body)
+        if (ch == '\n')
+            ch = '|';
+    *os << body << " => " << c.expect;
+}
+
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {
 };

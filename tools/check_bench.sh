@@ -43,8 +43,10 @@
 #   tools/check_bench.sh --validate-run <manifest.jsonl>
 #       Schema-validate an fgpsim-run-v1 manifest or BENCH_history.jsonl:
 #       the first record must be a "run" line carrying the schema tag,
-#       every run line needs its numeric provenance fields plus a git
-#       string, every point line needs (workload, config) and its core
+#       every run line needs its numeric provenance fields, git and build
+#       strings and a run_options object with all four behaviour knobs
+#       (history lines written before the knobs were recorded fail),
+#       every point line needs (workload, config) and its core
 #       numerics. '#' comment lines, blank lines and "progress"
 #       heartbeats are skipped; "window" records (interval-profile
 #       streams) are checked for their core numerics.
@@ -346,6 +348,16 @@ validate_run() {
                 need_num("timestamp"); need_num("jobs"); need_num("scale")
                 need_num("sims"); need_num("wall_seconds")
                 need_num("sim_cycles"); need_num("host_ns_per_sim_cycle")
+                # Provenance: the build type and every behaviour knob.
+                need_str("build")
+                if (!match($0, "\"run_options\":[{][^}]*[}]"))
+                    die("missing \"run_options\" object")
+                knobs = substr($0, RSTART, RLENGTH)
+                if (knobs !~ /"static_disambig":(true|false)/ ||
+                    knobs !~ /"oracle_sched":(true|false)/ ||
+                    knobs !~ /"oracle_budget":[0-9]/ ||
+                    knobs !~ /"checks":(true|false)/)
+                    die("run_options needs static_disambig, oracle_sched, oracle_budget and checks")
                 # Allocation observability (engine/engine.hh setAllocHook):
                 # when a run samples allocations, all three engine.alloc.*
                 # registry fields must land in the snapshot together.

@@ -17,6 +17,29 @@ BUILD="${1:-build-san}"
 [ "$#" -gt 0 ] && shift
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# Every stage that does not run is named again in the summary printed on
+# exit, so a skipped gate cannot pass unnoticed in a green log.
+SKIPPED=""
+skip_stage() {
+    echo "SKIPPED: $1" >&2
+    SKIPPED="$SKIPPED
+  - $1"
+}
+summary() {
+    status=$?
+    if [ "$status" -eq 0 ]; then
+        echo "=== ci.sh summary: passed ==="
+    else
+        echo "=== ci.sh summary: FAILED (exit $status) ==="
+    fi
+    if [ -n "$SKIPPED" ]; then
+        echo "skipped stages:$SKIPPED"
+    else
+        echo "skipped stages: none"
+    fi
+}
+trap summary EXIT
+
 cmake -B "$BUILD" -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DFGP_SANITIZE=address,undefined \
@@ -34,7 +57,7 @@ if command -v clang-tidy >/dev/null 2>&1; then
     find src -name '*.cc' -print | xargs -P "$JOBS" -n 4 \
         clang-tidy -p "$BUILD" --quiet
 else
-    echo "clang-tidy not found; skipping the static-analysis stage" >&2
+    skip_stage "clang-tidy static analysis (clang-tidy not installed)"
 fi
 
 # Make UBSan findings fatal so ctest reports them as failures.
@@ -47,9 +70,10 @@ UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "$BUILD" --output-on-failure -L metrics
 
 # Likewise the analyzer suite: it carries the static-disambiguation
-# soundness cross-check (analyze_test forces FGP_STATIC_DISAMBIG and
-# FGP_DISAMBIG_XCHECK on, so every workload x issue model retires under
-# the MD001/MD002 retirement check — here with ASan/UBSan watching).
+# soundness cross-check (analyze_test runs with static disambiguation
+# and the FGP_VERIFY checks on, so every workload x issue model retires
+# under the MD001/MD002 retirement check — here with ASan/UBSan
+# watching).
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "$BUILD" --output-on-failure -L analyze
 

@@ -82,11 +82,11 @@
 #include "analyze/disambig.hh"
 #include "analyze/lint.hh"
 #include "analyze/oracle.hh"
+#include "harness/experiment.hh"
 #include "masm/assembler.hh"
 #include "profile/profile.hh"
 #include "tld/translate.hh"
 #include "verify/equiv.hh"
-#include "verify/postpass.hh"
 #include "verify/verify.hh"
 #include "vm/atomic_runner.hh"
 #include "vm/interp.hh"
@@ -102,6 +102,7 @@ struct Options
     std::string source;
     std::vector<std::string> extra; ///< positionals after <src>
     std::map<std::string, std::string> flags;
+    RunOptions run; ///< behaviour knobs, parsed once from the environment
 
     bool has(const std::string &name) const { return flags.count(name); }
 
@@ -219,6 +220,77 @@ resolveSource(const Options &opts)
     return src;
 }
 
+/** <src>'s single-block image and the image it runs as under a config. */
+struct Images
+{
+    CodeImage single;
+    CodeImage image; ///< single, or its enlargement
+    EnlargePlan plan;
+    EnlargeStats stats;
+};
+
+/**
+ * Build the image <src> runs as under @p config. Enlarging branch modes
+ * apply --plan FILE or, without one, a plan from an in-process profile
+ * run on input set 1; @p verify sets the enlargement's post-pass check.
+ */
+Images
+buildImages(const Source &src, const Options &opts,
+            const MachineConfig &config, bool verify)
+{
+    Images out;
+    out.single = buildCfg(src.program);
+    out.image = out.single;
+    if (config.branch == BranchMode::Single)
+        return out;
+    if (opts.has("plan")) {
+        out.plan = parsePlan(readFile(opts.get("plan")));
+    } else {
+        SimOS os;
+        src.prepare(os, InputSet::Profile, opts);
+        Profile profile;
+        InterpOptions iopts;
+        iopts.profile = &profile;
+        interpret(src.program, os, iopts);
+        out.plan = planEnlargement(out.single, profile, {});
+    }
+    EnlargeOptions eopts;
+    eopts.verify = verify;
+    out.image = applyEnlargement(out.single, out.plan, &out.stats, eopts);
+    return out;
+}
+
+/**
+ * Engine options from the sim flags (--ras, --window, --conservative).
+ * Perfect branch mode records the committed-block trace of @p image on
+ * input set 2 into @p trace, which must outlive the simulation.
+ */
+EngineOptions
+simEngineOptions(const Source &src, const Options &opts,
+                 const MachineConfig &config, const CodeImage &image,
+                 std::vector<std::int32_t> &trace)
+{
+    EngineOptions eopts;
+    eopts.config = config;
+    if (opts.has("ras"))
+        eopts.predictor.rasDepth =
+            static_cast<int>(*parseInt(opts.get("ras")));
+    if (opts.has("window"))
+        eopts.windowOverride =
+            static_cast<int>(*parseInt(opts.get("window")));
+    if (opts.has("conservative"))
+        eopts.conservativeLoads = true;
+    if (config.branch == BranchMode::Perfect) {
+        SimOS os;
+        src.prepare(os, InputSet::Measure, opts);
+        AtomicRunOptions aopts;
+        aopts.recordTrace = true;
+        trace = runAtomic(image, os, aopts).blockTrace;
+        eopts.perfectTrace = &trace;
+    }
+    return eopts;
+}
+
 int
 cmdAsm(const Options &opts)
 {
@@ -275,58 +347,14 @@ cmdProfileInterval(const Options &opts)
         parseMachineConfig(opts.get("config", "dyn4/8A/single"));
     const int top = static_cast<int>(*parseInt(opts.get("top", "10")));
 
-    CodeImage image = buildCfg(src.program);
-    if (config.branch != BranchMode::Single) {
-        EnlargePlan plan;
-        if (opts.has("plan")) {
-            plan = parsePlan(readFile(opts.get("plan")));
-        } else {
-            // No enlargement file given: profile in-process (set 1).
-            SimOS os;
-            src.prepare(os, InputSet::Profile, opts);
-            Profile profile;
-            InterpOptions iopts;
-            iopts.profile = &profile;
-            interpret(src.program, os, iopts);
-            plan = planEnlargement(image, profile, {});
-        }
-        image = applyEnlargement(buildCfg(src.program), plan, nullptr);
-    }
-
-    EngineOptions eopts;
-    eopts.config = config;
-    if (opts.has("ras"))
-        eopts.predictor.rasDepth =
-            static_cast<int>(*parseInt(opts.get("ras")));
-    if (opts.has("window"))
-        eopts.windowOverride =
-            static_cast<int>(*parseInt(opts.get("window")));
-    if (opts.has("conservative"))
-        eopts.conservativeLoads = true;
-
+    const CodeImage image =
+        buildImages(src, opts, config, opts.run.checks).image;
     std::vector<std::int32_t> trace;
-    if (config.branch == BranchMode::Perfect) {
-        SimOS os;
-        src.prepare(os, InputSet::Measure, opts);
-        AtomicRunOptions aopts;
-        aopts.recordTrace = true;
-        trace = runAtomic(image, os, aopts).blockTrace;
-        eopts.perfectTrace = &trace;
-    }
-
+    EngineOptions eopts = simEngineOptions(src, opts, config, image, trace);
     CodeImage translated = image;
-    {
-        // Replicate the harness: FGP_STATIC_DISAMBIG feeds proven
-        // no-alias facts to the static scheduler and FGP_ORACLE_SCHED
-        // adopts proven-shorter oracle schedules, so profiled runs see
-        // the same schedules the sweeps measure.
-        TranslateOptions txopts;
-        if (analyze::staticDisambigEnabled())
-            txopts.disambigHook = analyze::disambigSchedulingHook();
-        if (analyze::oracleSchedEnabled())
-            txopts.oracleHook = analyze::oracleAdoptionHook();
-        translate(translated, config, txopts);
-    }
+    analyze::DisambigImage disambig_facts;
+    translateForRun(translated, config, opts.run, {}, &eopts,
+                    &disambig_facts);
 
     // Static ceilings for the measured-vs-bound comparison.
     const analyze::ImageAnalysis analysis =
@@ -336,16 +364,6 @@ cmdProfileInterval(const Options &opts)
         if (b.block >= 0 &&
             static_cast<std::size_t>(b.block) < bounds.size())
             bounds[static_cast<std::size_t>(b.block)] = b.packedBound;
-
-    analyze::DisambigImage disambig_facts;
-    const bool disambig_fast = analyze::staticDisambigEnabled();
-    const bool disambig_xcheck = analyze::disambigXcheckEnabled();
-    if (disambig_fast || disambig_xcheck) {
-        disambig_facts = analyze::disambigImage(translated);
-        eopts.disambig = &disambig_facts;
-        eopts.disambigFastPath = disambig_fast;
-        eopts.disambigXcheck = disambig_xcheck;
-    }
 
     profile::IntervalProfiler profiler;
     if (opts.has("interval"))
@@ -738,49 +756,16 @@ cmdSim(const Options &opts, SimMode mode = SimMode::Stats)
     const MachineConfig config =
         parseMachineConfig(opts.get("config", "dyn4/8A/single"));
 
-    CodeImage image = buildCfg(src.program);
-    EnlargeStats estats;
-    if (config.branch != BranchMode::Single) {
-        EnlargePlan plan;
-        if (opts.has("plan")) {
-            plan = parsePlan(readFile(opts.get("plan")));
-        } else {
-            // No enlargement file given: profile in-process (set 1).
-            SimOS os;
-            src.prepare(os, InputSet::Profile, opts);
-            Profile profile;
-            InterpOptions iopts;
-            iopts.profile = &profile;
-            interpret(src.program, os, iopts);
-            plan = planEnlargement(image, profile, {});
-        }
-        image = applyEnlargement(buildCfg(src.program), plan, &estats);
-    }
-
-    EngineOptions eopts;
-    eopts.config = config;
-    if (opts.has("ras"))
-        eopts.predictor.rasDepth =
-            static_cast<int>(*parseInt(opts.get("ras")));
-    if (opts.has("window"))
-        eopts.windowOverride =
-            static_cast<int>(*parseInt(opts.get("window")));
-    if (opts.has("conservative"))
-        eopts.conservativeLoads = true;
-
+    const Images images = buildImages(src, opts, config, opts.run.checks);
     std::vector<std::int32_t> trace;
-    if (config.branch == BranchMode::Perfect) {
-        SimOS os;
-        src.prepare(os, InputSet::Measure, opts);
-        AtomicRunOptions aopts;
-        aopts.recordTrace = true;
-        trace = runAtomic(image, os, aopts).blockTrace;
-        eopts.perfectTrace = &trace;
-    }
+    EngineOptions eopts =
+        simEngineOptions(src, opts, config, images.image, trace);
 
     // The image must be translated for this machine configuration.
-    CodeImage translated = image;
-    translate(translated, config);
+    CodeImage translated = images.image;
+    analyze::DisambigImage disambig_facts;
+    translateForRun(translated, config, opts.run, {}, &eopts,
+                    &disambig_facts);
 
     // Observability sinks. Streams must outlive simulate(); the bus does
     // not own the sinks.
@@ -861,9 +846,9 @@ cmdSim(const Options &opts, SimMode mode = SimMode::Stats)
               << "mispredicts          " << r.mispredicts << "\n"
               << "faults fired         " << r.faultsFired << "\n";
     if (config.branch != BranchMode::Single)
-        std::cerr << "enlargement          " << estats.chains
+        std::cerr << "enlargement          " << images.stats.chains
                   << " chains, mean length "
-                  << format("%.2f", estats.meanChainLen) << "\n";
+                  << format("%.2f", images.stats.meanChainLen) << "\n";
     return r.exitCode;
 }
 
@@ -881,8 +866,9 @@ cmdCheck(const Options &opts)
         parseMachineConfig(opts.get("config", "dyn4/8A/enlarged"));
 
     // The passes' own post-pass assertions would throw on the first bad
-    // image; suspend them so every stage reports through one Report.
-    verify::ScopedPostPassChecks suspend(false);
+    // image; keep them off so every stage reports through one Report.
+    RunOptions run = opts.run;
+    run.checks = false;
 
     verify::VerifyOptions vopts;
     vopts.strictUninit = opts.has("strict");
@@ -895,53 +881,29 @@ cmdCheck(const Options &opts)
         nodes_checked += image.totalNodes();
     };
 
-    const CodeImage single = buildCfg(src.program);
-    verify::verifyImageInto(single, report, vopts, "single");
-    tally(single);
-
-    CodeImage image = single;
-    EnlargeStats estats;
+    const Images images = buildImages(src, opts, config, run.checks);
+    verify::verifyImageInto(images.single, report, vopts, "single");
+    tally(images.single);
     if (config.branch != BranchMode::Single) {
-        EnlargePlan plan;
-        if (opts.has("plan")) {
-            plan = parsePlan(readFile(opts.get("plan")));
-        } else {
-            // No enlargement file given: profile in-process (set 1).
-            SimOS os;
-            src.prepare(os, InputSet::Profile, opts);
-            Profile profile;
-            InterpOptions iopts;
-            iopts.profile = &profile;
-            interpret(src.program, os, iopts);
-            plan = planEnlargement(single, profile, {});
-        }
-        image = applyEnlargement(single, plan, &estats);
-        verify::verifyImageInto(image, report, vopts, "enlarged");
-        verify::checkEnlargementSoundness(single, image, plan, report,
+        verify::verifyImageInto(images.image, report, vopts, "enlarged");
+        verify::checkEnlargementSoundness(images.single, images.image,
+                                          images.plan, report,
                                           EnlargeOptions{}.maxInstances,
                                           "enlarged");
-        tally(image);
+        tally(images.image);
     }
 
-    CodeImage translated = image;
-    {
-        // Replicate the harness: schedule with the no-alias facts (so
-        // hoisted loads are not flagged as IMG011) and adopt oracle
-        // schedules under FGP_ORACLE_SCHED, so check proves exactly the
-        // image the sweeps measure.
-        TranslateOptions txopts;
-        if (analyze::staticDisambigEnabled())
-            txopts.disambigHook = analyze::disambigSchedulingHook();
-        if (analyze::oracleSchedEnabled())
-            txopts.oracleHook = analyze::oracleAdoptionHook();
-        translate(translated, config, txopts);
-    }
+    // Translate exactly as a run would (with the no-alias facts, hoisted
+    // loads are not flagged as IMG011; oracle schedules are adopted), so
+    // check proves the image the sweeps measure.
+    CodeImage translated = images.image;
+    translateForRun(translated, config, run);
     verify::VerifyOptions topts = vopts;
     topts.issue = &config.issue;
-    if (analyze::staticDisambigEnabled())
+    if (run.staticDisambig)
         topts.memFacts = analyze::disambigSchedulingHook();
     verify::verifyImageInto(translated, report, topts, "translated");
-    verify::checkTranslationSoundness(image, translated, report,
+    verify::checkTranslationSoundness(images.image, translated, report,
                                       "translated");
     tally(translated);
 
@@ -983,9 +945,9 @@ cmdCheck(const Options &opts)
                   << "  blocks checked     " << blocks_checked << "\n"
                   << "  nodes checked      " << nodes_checked << "\n";
         if (config.branch != BranchMode::Single)
-            std::cout << "  enlargement        " << estats.chains
-                      << " chains, " << estats.companions
-                      << " companions, " << estats.faultNodes
+            std::cout << "  enlargement        " << images.stats.chains
+                      << " chains, " << images.stats.companions
+                      << " companions, " << images.stats.faultNodes
                       << " fault nodes\n";
         if (!report.diagnostics().empty())
             std::cout << report.renderText();
@@ -1020,29 +982,14 @@ cmdAnalyze(const Options &opts)
         parseMachineConfig(opts.get("config", "dyn4/8A/enlarged"));
     const int top = static_cast<int>(*parseInt(opts.get("top", "10")));
 
-    const CodeImage single = buildCfg(src.program);
-    CodeImage image = single;
-    EnlargePlan plan;
-    EnlargeStats estats;
+    const Images images = buildImages(src, opts, config, opts.run.checks);
+    const CodeImage &single = images.single;
+    const CodeImage &image = images.image;
+    const EnlargePlan &plan = images.plan;
     const bool enlarged_mode = config.branch != BranchMode::Single;
-    if (enlarged_mode) {
-        if (opts.has("plan")) {
-            plan = parsePlan(readFile(opts.get("plan")));
-        } else {
-            // No enlargement file given: profile in-process (set 1).
-            SimOS os;
-            src.prepare(os, InputSet::Profile, opts);
-            Profile profile;
-            InterpOptions iopts;
-            iopts.profile = &profile;
-            interpret(src.program, os, iopts);
-            plan = planEnlargement(single, profile, {});
-        }
-        image = applyEnlargement(single, plan, &estats);
-    }
 
     CodeImage translated = image;
-    translate(translated, config);
+    translateForRun(translated, config, opts.run);
 
     // Bounds come from the translated image (words are the packed bound);
     // the lint reads the pre-translation image, where source-level
@@ -2104,6 +2051,7 @@ runCli(int argc, char **argv)
     Options opts;
     opts.command = argv[1];
     opts.source = argv[2];
+    opts.run = RunOptions::fromEnv();
     for (int i = 3; i < argc; ++i) {
         std::string arg = argv[i];
         if (!startsWith(arg, "--")) {
